@@ -12,14 +12,16 @@
 //
 //   cold:   the first-ever run (empty caches, first-touch allocations) —
 //           what a one-shot simulation pays;
-//   steady: best of --repeat further runs of the same program — what the
-//           repo's sweep and ablation drivers pay, since they re-run
-//           programs on persistent engines and the route/solve caches
-//           survive across run() calls.
+//   steady: best of --repeat further runs of the same program on that
+//           engine, with the route/solve caches kept across run() calls.
 //
-// The headline speedup is steady-vs-steady: full-machine design sweeps are
-// the workload this PR targets, and they operate in the steady regime. The
-// JSON also records cold numbers so the one-shot cost stays tracked.
+// Nothing that produces results runs the steady regime:
+// run_simulation_sweep (behind the figure benches), design_advisor and the
+// ext_* benches build a fresh engine per cell and run it once, which is the
+// cold regime (paperbench/ times the pipeline that way). The headline
+// steady-vs-steady speedup is therefore a micro-benchmark of
+// persistent-engine replays; the JSON also records cold numbers so the
+// one-shot cost stays tracked.
 //
 // Schema v3 adds a thread-scaling section: --threads takes a comma list of
 // solver thread counts and re-times the optimized configuration at each,

@@ -518,6 +518,7 @@ class FairShareSolver {
       batch_.clear();
       batch_.push_back(l);
       in_batch_[l] = 1;
+      bool leader_is_min = true;
       while (!heap_.empty() && !(heap_.front().share > share)) {
         std::pop_heap(heap_.begin(), heap_.end());
         const LinkId cand = heap_.back().link;
@@ -531,10 +532,26 @@ class FairShareSolver {
         if (fresh == share) {
           batch_.push_back(cand);
           in_batch_[cand] = 1;
-        } else {
-          heap_.push_back(Entry{fresh, cand});
+          continue;
+        }
+        heap_.push_back(Entry{fresh, cand});
+        std::push_heap(heap_.begin(), heap_.end());
+        if (fresh < share) {
+          // FP rounding can leave a fresh share one ulp below the key it
+          // was queued with, breaking "shares only grow": the leader was
+          // not the minimum. Draining on would pop this candidate forever.
+          leader_is_min = false;
+          break;
+        }
+      }
+      if (!leader_is_min) {
+        // Return the batch with its fresh keys and choose the leader again.
+        for (const LinkId bl : batch_) {
+          in_batch_[bl] = 0;
+          heap_.push_back(Entry{share, bl});
           std::push_heap(heap_.begin(), heap_.end());
         }
+        continue;
       }
       share_out = share;
       return true;

@@ -110,9 +110,13 @@ void GhcTier::route_lookup(const Graph& graph, std::uint32_t src,
 
 std::uint32_t GhcTier::route_distance(std::uint32_t src,
                                       std::uint32_t dst) const {
+  // Peel the digits off from the least significant one: a single division
+  // per dimension and endpoint yields both the digit and the rest.
   std::uint32_t differing = 0;
-  for (std::uint32_t dim = 0; dim < shape_.num_dims(); ++dim) {
-    if (shape_.coord(src, dim) != shape_.coord(dst, dim)) ++differing;
+  for (const std::uint32_t d : shape_.dims()) {
+    differing += src % d != dst % d;
+    src /= d;
+    dst /= d;
   }
   return 2 * differing;
 }

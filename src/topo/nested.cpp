@@ -11,8 +11,8 @@ std::string_view to_string(UpperTierKind k) noexcept {
 }
 
 void NestedConfig::validate() const {
-  if (t < 2) {
-    throw std::invalid_argument("NestedConfig: t must be >= 2");
+  if (t < 2 || t > 255) {
+    throw std::invalid_argument("NestedConfig: t must be in [2, 255]");
   }
   if (u != 1 && u != 2 && u != 4 && u != 8) {
     throw std::invalid_argument("NestedConfig: u must be 1, 2, 4 or 8");
@@ -146,25 +146,45 @@ NestedTopology::NestedTopology(NestedConfig config)
     }
   }
 
-  // Uplink placement and designation (Fig. 3 connection rules).
-  uplink_rank_.assign(n, kInvalidNode);
-  designated_uplink_.assign(n, kInvalidNode);
+  // Uplink placement and designation (Fig. 3 connection rules). Ranks are
+  // handed out in endpoint order, so a designated uplink can come after the
+  // endpoint that uses it: uplinked records take their own rank first, the
+  // others copy their designated uplink's rank in a second pass.
+  records_.assign(n, EndpointRecord{});
   uplinked_nodes_.clear();
   std::array<std::uint32_t, 3> g{};
   for (std::uint32_t node = 0; node < n; ++node) {
     global_shape_.coords_of(node, g);
+    EndpointRecord& r = records_[node];
+    const std::array<std::uint32_t, 3> s = {g[0] / t, g[1] / t, g[2] / t};
+    r.subtorus = subtorus_grid_.index_of(s);
     const std::uint32_t lx = g[0] % t, ly = g[1] % t, lz = g[2] % t;
+    const auto d = designated_at(config_.u, lx, ly, lz);
+    r.local = {static_cast<std::uint8_t>(lx), static_cast<std::uint8_t>(ly),
+               static_cast<std::uint8_t>(lz)};
+    r.uplink_local = {static_cast<std::uint8_t>(d[0]),
+                      static_cast<std::uint8_t>(d[1]),
+                      static_cast<std::uint8_t>(d[2])};
     if (uplinked_at(config_.u, lx, ly, lz)) {
-      uplink_rank_[node] = static_cast<std::uint32_t>(uplinked_nodes_.size());
+      r.uplink_rank = static_cast<std::uint32_t>(uplinked_nodes_.size());
       uplinked_nodes_.push_back(node);
     }
-    const auto d = designated_at(config_.u, lx, ly, lz);
-    const std::array<std::uint32_t, 3> dg = {g[0] - lx + d[0], g[1] - ly + d[1],
-                                             g[2] - lz + d[2]};
-    designated_uplink_[node] = global_shape_.index_of(dg);
   }
   if (uplinked_nodes_.size() != config_.num_uplinked()) {
     throw std::logic_error("NestedTopology: uplink census mismatch");
+  }
+  for (std::uint32_t node = 0; node < n; ++node) {
+    EndpointRecord& r = records_[node];
+    if (r.local == r.uplink_local) continue;
+    // Same subtorus, so the designated uplink's id is this endpoint's id
+    // shifted by the local coordinate differences.
+    std::uint32_t designated = node;
+    for (std::uint32_t dim = 0; dim < 3; ++dim) {
+      const std::uint32_t stride = global_shape_.stride(dim);
+      designated += r.uplink_local[dim] * stride;
+      designated -= r.local[dim] * stride;
+    }
+    r.uplink_rank = records_[designated].uplink_rank;
   }
 
   // Upper tier over the uplinked nodes, in rank order.
@@ -191,41 +211,24 @@ NestedTopology::NestedTopology(NestedConfig config)
   // Every designated uplink must itself be uplinked and in the same
   // subtorus — the routing below relies on both.
   for (std::uint32_t node = 0; node < n; ++node) {
-    assert(is_uplinked(designated_uplink_[node]));
-    assert(subtorus_of(designated_uplink_[node]) == subtorus_of(node));
+    assert(is_uplinked(designated_uplink(node)));
+    assert(subtorus_of(designated_uplink(node)) == subtorus_of(node));
   }
-}
-
-std::uint32_t NestedTopology::subtorus_of(std::uint32_t endpoint) const {
-  const std::uint32_t t = config_.t;
-  std::array<std::uint32_t, 3> g{};
-  global_shape_.coords_of(endpoint, g);
-  const std::array<std::uint32_t, 3> s = {g[0] / t, g[1] / t, g[2] / t};
-  return subtorus_grid_.index_of(s);
-}
-
-std::uint32_t NestedTopology::local_index(std::uint32_t endpoint) const {
-  const std::uint32_t t = config_.t;
-  std::array<std::uint32_t, 3> g{};
-  global_shape_.coords_of(endpoint, g);
-  const std::array<std::uint32_t, 3> l = {g[0] % t, g[1] % t, g[2] % t};
-  return subtorus_shape_.index_of(l);
 }
 
 std::uint64_t NestedTopology::num_upper_switches() const {
   return fattree_ ? fattree_->num_switches() : ghc_->num_switches();
 }
 
-void NestedTopology::route_within_subtorus(std::uint32_t src,
-                                           std::uint32_t dst,
-                                           Path& path) const {
-  if (src == dst) return;
+void NestedTopology::route_within_subtorus(
+    std::uint32_t subtorus, const std::array<std::uint8_t, 3>& from,
+    const std::array<std::uint8_t, 3>& to, Path& path) const {
+  if (from == to) return;
   // DOR on local coordinates with closed-form link ids: the subtorus owns a
   // contiguous block of cables laid out in wire_torus order (see the
   // constructor), so the local walk never touches the graph.
-  route_torus_dor_arith(subtorus_shape_,
-                        2 * subtorus_cables_ * subtorus_of(src),
-                        local_index(src), local_index(dst), path);
+  route_torus_dor_arith(subtorus_shape_, 2 * subtorus_cables_ * subtorus,
+                        local_index(from), local_index(to), path);
 }
 
 void NestedTopology::route_within_subtorus_lookup(std::uint32_t src,
@@ -273,19 +276,19 @@ void NestedTopology::route_impl(std::uint32_t src, std::uint32_t dst,
                                 Path& path, const LinkLoads* loads) const {
   path.clear();
   if (src == dst) return;
-  if (subtorus_of(src) == subtorus_of(dst)) {
-    route_within_subtorus(src, dst, path);
+  const EndpointRecord& s = records_[src];
+  const EndpointRecord& d = records_[dst];
+  if (s.subtorus == d.subtorus) {
+    route_within_subtorus(s.subtorus, s.local, d.local, path);
     return;
   }
-  const std::uint32_t a = designated_uplink_[src];
-  const std::uint32_t b = designated_uplink_[dst];
-  route_within_subtorus(src, a, path);
+  route_within_subtorus(s.subtorus, s.local, s.uplink_local, path);
   if (fattree_) {
-    fattree_->route(graph(), uplink_rank_[a], uplink_rank_[b], path, loads);
+    fattree_->route(graph(), s.uplink_rank, d.uplink_rank, path, loads);
   } else {
-    ghc_->route(graph(), uplink_rank_[a], uplink_rank_[b], path);
+    ghc_->route(graph(), s.uplink_rank, d.uplink_rank, path);
   }
-  route_within_subtorus(b, dst, path);
+  route_within_subtorus(d.subtorus, d.uplink_local, d.local, path);
 }
 
 void NestedTopology::route_lookup(std::uint32_t src, std::uint32_t dst,
@@ -296,31 +299,27 @@ void NestedTopology::route_lookup(std::uint32_t src, std::uint32_t dst,
     route_within_subtorus_lookup(src, dst, path);
     return;
   }
-  const std::uint32_t a = designated_uplink_[src];
-  const std::uint32_t b = designated_uplink_[dst];
+  const std::uint32_t a = designated_uplink(src);
+  const std::uint32_t b = designated_uplink(dst);
   route_within_subtorus_lookup(src, a, path);
   if (fattree_) {
-    fattree_->route_lookup(graph(), uplink_rank_[a], uplink_rank_[b], path);
+    fattree_->route_lookup(graph(), uplink_rank(a), uplink_rank(b), path);
   } else {
-    ghc_->route_lookup(graph(), uplink_rank_[a], uplink_rank_[b], path);
+    ghc_->route_lookup(graph(), uplink_rank(a), uplink_rank(b), path);
   }
   route_within_subtorus_lookup(b, dst, path);
 }
 
 std::uint32_t NestedTopology::route_distance(std::uint32_t src,
                                              std::uint32_t dst) const {
-  if (src == dst) return 0;
-  const auto local_dor = [&](std::uint32_t from, std::uint32_t to) {
-    return torus_dor_distance(subtorus_shape_, local_index(from),
-                              local_index(to));
-  };
-  if (subtorus_of(src) == subtorus_of(dst)) return local_dor(src, dst);
-  const std::uint32_t a = designated_uplink_[src];
-  const std::uint32_t b = designated_uplink_[dst];
+  const EndpointRecord& s = records_[src];
+  const EndpointRecord& d = records_[dst];
+  if (s.subtorus == d.subtorus) return local_distance(s.local, d.local);
   const std::uint32_t upper =
-      fattree_ ? fattree_->route_distance(uplink_rank_[a], uplink_rank_[b])
-               : ghc_->route_distance(uplink_rank_[a], uplink_rank_[b]);
-  return local_dor(src, a) + upper + local_dor(b, dst);
+      fattree_ ? fattree_->route_distance(s.uplink_rank, d.uplink_rank)
+               : ghc_->route_distance(s.uplink_rank, d.uplink_rank);
+  return local_distance(s.local, s.uplink_local) + upper +
+         local_distance(d.uplink_local, d.local);
 }
 
 std::string NestedTopology::name() const {

@@ -43,7 +43,8 @@ enum class UpperTierKind : std::uint8_t { kFattree, kGhc };
 struct NestedConfig {
   /// Global grid of QFDBs; every dimension must be a positive multiple of t.
   std::array<std::uint32_t, 3> global_dims{};
-  /// Subtorus nodes per dimension (t in the paper); must be even unless u=1.
+  /// Subtorus nodes per dimension (t in the paper); must be even unless u=1,
+  /// and at most 255.
   std::uint32_t t = 2;
   /// Uplink thinning: one uplink per u QFDBs; u in {1, 2, 4, 8}.
   std::uint32_t u = 1;
@@ -81,20 +82,24 @@ class NestedTopology final : public Topology {
   }
 
   /// Subtorus id of an endpoint (x-major over the grid of subtori).
-  [[nodiscard]] std::uint32_t subtorus_of(std::uint32_t endpoint) const;
+  [[nodiscard]] std::uint32_t subtorus_of(std::uint32_t endpoint) const {
+    return records_[endpoint].subtorus;
+  }
   /// Is this endpoint connected to the upper tier?
   [[nodiscard]] bool is_uplinked(std::uint32_t endpoint) const {
-    return uplink_rank_[endpoint] != kInvalidNode;
+    const EndpointRecord& r = records_[endpoint];
+    return r.local == r.uplink_local;
   }
   /// The uplinked node this endpoint routes through to leave its subtorus
   /// (itself when uplinked).
   [[nodiscard]] std::uint32_t designated_uplink(std::uint32_t endpoint) const {
-    return designated_uplink_[endpoint];
+    return uplinked_nodes_[records_[endpoint].uplink_rank];
   }
   /// Rank of an uplinked endpoint among all uplinked endpoints (its
   /// leaf/server index in the upper tier); kInvalidNode if not uplinked.
   [[nodiscard]] std::uint32_t uplink_rank(std::uint32_t endpoint) const {
-    return uplink_rank_[endpoint];
+    return is_uplinked(endpoint) ? records_[endpoint].uplink_rank
+                                 : kInvalidNode;
   }
   /// Number of switches in the upper tier.
   [[nodiscard]] std::uint64_t num_upper_switches() const;
@@ -116,27 +121,54 @@ class NestedTopology final : public Topology {
                                              std::uint32_t dst) const override;
 
  private:
+  /// Everything routing needs about one endpoint, derived once at
+  /// construction so the per-pair paths do no division by runtime grid
+  /// sizes and no allocation. Local coordinates fit a byte (t <= 255).
+  struct EndpointRecord {
+    std::uint32_t subtorus = 0;
+    /// Upper-tier rank of the designated uplink (the endpoint's own rank
+    /// when it is uplinked).
+    std::uint32_t uplink_rank = 0;
+    std::array<std::uint8_t, 3> local{};         // (x, y, z) in the subtorus
+    std::array<std::uint8_t, 3> uplink_local{};  // designated uplink's
+  };
+  static_assert(sizeof(EndpointRecord) == 16);
+
   void route_impl(std::uint32_t src, std::uint32_t dst, Path& path,
                   const LinkLoads* loads) const;
-  /// DOR between two endpoints of the same subtorus, in local index space.
-  void route_within_subtorus(std::uint32_t src, std::uint32_t dst,
+  /// DOR between two local positions of one subtorus, with closed-form
+  /// link ids.
+  void route_within_subtorus(std::uint32_t subtorus,
+                             const std::array<std::uint8_t, 3>& from,
+                             const std::array<std::uint8_t, 3>& to,
                              Path& path) const;
   void route_within_subtorus_lookup(std::uint32_t src, std::uint32_t dst,
                                     Path& path) const;
-  [[nodiscard]] std::uint32_t local_index(std::uint32_t endpoint) const;
-  [[nodiscard]] std::uint32_t subtorus_first_node(std::uint32_t subtorus) const;
+  /// Subtorus-local linear index (x-major over t^3) of local coordinates.
+  [[nodiscard]] std::uint32_t local_index(
+      const std::array<std::uint8_t, 3>& local) const {
+    const std::uint32_t t = config_.t;
+    return local[0] + t * (local[1] + t * local[2]);
+  }
+  /// DOR hop count between two local positions of one subtorus.
+  [[nodiscard]] std::uint32_t local_distance(
+      const std::array<std::uint8_t, 3>& from,
+      const std::array<std::uint8_t, 3>& to) const {
+    const std::uint32_t t = config_.t;
+    return dor_ring_distance(from[0], to[0], t) +
+           dor_ring_distance(from[1], to[1], t) +
+           dor_ring_distance(from[2], to[2], t);
+  }
 
   NestedConfig config_;
   GridShape global_shape_;
   GridShape subtorus_shape_;   // t x t x t
   GridShape subtorus_grid_;    // grid of subtori
-  std::vector<std::uint32_t> uplink_rank_;        // per endpoint
-  std::vector<std::uint32_t> designated_uplink_;  // per endpoint
-  std::vector<std::uint32_t> uplinked_nodes_;     // rank -> endpoint
-  std::uint32_t subtorus_cables_ = 0;             // duplex cables per subtorus
-  // Maps a global endpoint id to its subtorus-local linear index and back:
-  // endpoints are numbered x-major over the *global* grid, while subtorus
-  // wiring and DOR work on local t^3 indices.
+  // Endpoints are numbered x-major over the *global* grid, while subtorus
+  // wiring and DOR work on local t^3 indices; the records hold the mapping.
+  std::vector<EndpointRecord> records_;        // per endpoint
+  std::vector<std::uint32_t> uplinked_nodes_;  // rank -> endpoint
+  std::uint32_t subtorus_cables_ = 0;          // duplex cables per subtorus
   std::unique_ptr<FattreeTier> fattree_;
   std::unique_ptr<GhcTier> ghc_;
 };

@@ -37,12 +37,6 @@ void GridShape::coords_of(std::uint32_t index,
   }
 }
 
-std::vector<std::uint32_t> GridShape::coords_of(std::uint32_t index) const {
-  std::vector<std::uint32_t> coords(dims_.size());
-  coords_of(index, coords);
-  return coords;
-}
-
 std::uint32_t GridShape::coord(std::uint32_t index, std::uint32_t dim) const {
   assert(dim < dims_.size());
   return (index / strides_[dim]) % dims_[dim];
@@ -78,14 +72,8 @@ namespace {
 /// Per-dimension signed displacement DOR takes: shortest wrap direction,
 /// positive on ties.
 int dor_step_direction(std::uint32_t from, std::uint32_t to, std::uint32_t d) {
-  const std::uint32_t forward = (to + d - from) % d;
+  const std::uint32_t forward = dor_ring_forward(from, to, d);
   return (forward <= d - forward) ? +1 : -1;
-}
-
-std::uint32_t dor_dim_distance(std::uint32_t from, std::uint32_t to,
-                               std::uint32_t d) {
-  const std::uint32_t forward = (to + d - from) % d;
-  return std::min(forward, d - forward);
 }
 
 }  // namespace
@@ -187,11 +175,13 @@ void route_torus_dor_arith(const GridShape& shape, LinkId first_link,
 std::uint32_t torus_dor_distance(const GridShape& shape,
                                  std::uint32_t src_index,
                                  std::uint32_t dst_index) {
-  const auto src = shape.coords_of(src_index);
-  const auto dst = shape.coords_of(dst_index);
+  // Dimension 0 is least significant: one division per dimension and index
+  // yields the coordinate and the rest.
   std::uint32_t hops = 0;
-  for (std::uint32_t dim = 0; dim < shape.num_dims(); ++dim) {
-    hops += dor_dim_distance(src[dim], dst[dim], shape.dims()[dim]);
+  for (const std::uint32_t d : shape.dims()) {
+    hops += dor_ring_distance(src_index % d, dst_index % d, d);
+    src_index /= d;
+    dst_index /= d;
   }
   return hops;
 }

@@ -6,6 +6,7 @@
 // provides the subtorus wiring reused by the nested hybrid topologies.
 #pragma once
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
@@ -37,8 +38,6 @@ class GridShape {
   }
   /// Linear index -> coordinates (out.size() must equal num_dims()).
   void coords_of(std::uint32_t index, std::span<std::uint32_t> out) const;
-  [[nodiscard]] std::vector<std::uint32_t> coords_of(
-      std::uint32_t index) const;
 
   /// Single coordinate of a linear index along `dim` (no allocation).
   [[nodiscard]] std::uint32_t coord(std::uint32_t index,
@@ -94,7 +93,25 @@ void route_torus_dor_arith(const GridShape& shape, LinkId first_link,
                            std::uint32_t src_index, std::uint32_t dst_index,
                            Path& path);
 
-/// Number of hops DOR takes between two indices (no graph access needed).
+/// Steps from coordinate `from` to `to` (both < d) going +1 round a ring
+/// of size `d`, without a division.
+[[nodiscard]] inline std::uint32_t dor_ring_forward(std::uint32_t from,
+                                                    std::uint32_t to,
+                                                    std::uint32_t d) {
+  return to >= from ? to - from : to + d - from;
+}
+
+/// Hops DOR takes along one ring of size `d` between coordinates `from`
+/// and `to` (both < d): the shorter way round.
+[[nodiscard]] inline std::uint32_t dor_ring_distance(std::uint32_t from,
+                                                     std::uint32_t to,
+                                                     std::uint32_t d) {
+  const std::uint32_t forward = dor_ring_forward(from, to, d);
+  return std::min(forward, d - forward);
+}
+
+/// Number of hops DOR takes between two indices (no graph access needed,
+/// no allocation).
 [[nodiscard]] std::uint32_t torus_dor_distance(const GridShape& shape,
                                                std::uint32_t src_index,
                                                std::uint32_t dst_index);

@@ -2,7 +2,9 @@
 // production route() paths must match, link for link, the graph-lookup
 // reference walkers (route_lookup / route_torus_dor) on every topology
 // family, for every pair at small N — including under adaptive load-based
-// up-port choice, and as the fault-free precondition of the detour router
+// up-port choice — and on sampled pairs of every paper-matrix point at
+// N=8192, where route_distance must also equal the route's hop count; and
+// as the fault-free precondition of the detour router
 // (FaultAwareRouter must keep returning native routes when nothing is
 // dead). A final set of chaos-harness trials pins whole engine runs to the
 // arithmetic-routing path.
@@ -13,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "core/experiment.hpp"
 #include "resilience/fault_model.hpp"
 #include "resilience/fault_router.hpp"
 #include "topo/factory.hpp"
@@ -21,6 +24,7 @@
 #include "topo/nested.hpp"
 #include "topo/thintree.hpp"
 #include "topo/torus.hpp"
+#include "util/prng.hpp"
 #include "verify/chaos.hpp"
 
 namespace nestflow {
@@ -187,6 +191,57 @@ TEST(ArithRoutes, NestedMatchesGraphLookupAllPairs) {
       }
     }
   }
+}
+
+/// Checks a topology at a non-toy size: route_distance equals the hop count
+/// of route() on `num_pairs` seeded pairs plus the adversarial pairs, and
+/// route() matches the graph-lookup reference link for link on the first
+/// `num_lookup_pairs` of them.
+void expect_routes_consistent_at_scale(const Topology& topo,
+                                       std::size_t num_pairs,
+                                       std::size_t num_lookup_pairs) {
+  Prng prng(0x5CA1Eu);
+  const std::uint32_t n = topo.num_endpoints();
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs =
+      topo.adversarial_pairs();
+  for (std::size_t i = 0; i < num_pairs; ++i) {
+    pairs.emplace_back(static_cast<std::uint32_t>(prng.next_below(n)),
+                       static_cast<std::uint32_t>(prng.next_below(n)));
+  }
+  const auto* nested = dynamic_cast<const NestedTopology*>(&topo);
+  const auto* fattree = dynamic_cast<const FatTreeTopology*>(&topo);
+  const auto* torus = dynamic_cast<const TorusTopology*>(&topo);
+  ASSERT_TRUE(nested || fattree || torus) << topo.name();
+  Path arith, lookup;
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    const auto [src, dst] = pairs[i];
+    topo.route(src, dst, arith);
+    ASSERT_EQ(topo.route_distance(src, dst), arith.hops())
+        << topo.name() << ": " << src << " -> " << dst;
+    if (i >= num_lookup_pairs || src == dst) continue;
+    lookup.clear();
+    if (nested) {
+      nested->route_lookup(src, dst, lookup);
+    } else if (fattree) {
+      fattree->tier().route_lookup(topo.graph(), src, dst, lookup);
+    } else {
+      route_torus_dor(topo.graph(), 0, torus->shape(), src, dst, lookup);
+    }
+    expect_paths_equal(arith, lookup, src, dst, topo.name());
+  }
+}
+
+TEST(ArithRoutes, PaperMatrixConsistentAtScale) {
+  for (const auto& point : paper_topology_matrix()) {
+    const auto topo = build_point(point, 8192);
+    expect_routes_consistent_at_scale(*topo, 20000, 2000);
+  }
+}
+
+TEST(ArithRoutes, NonPowerOfTwoTorusConsistentAtScale) {
+  // Mixed odd/even sizes keep the general GridShape arithmetic covered.
+  const TorusTopology topo({24, 20, 17});
+  expect_routes_consistent_at_scale(topo, 20000, 2000);
 }
 
 TEST(ArithRoutes, FaultFreeDetourRouterReturnsArithmeticRoutes) {

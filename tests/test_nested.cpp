@@ -157,6 +157,12 @@ TEST(Nested, ConfigValidation) {
   config.t = 1;
   config.upper_dims.clear();
   EXPECT_THROW(config.validate(), std::invalid_argument);
+
+  // Local coordinates are stored in a byte per dimension.
+  config = small_config(2, 1, UpperTierKind::kFattree);
+  config.t = 256;
+  config.global_dims = {256, 256, 256};
+  EXPECT_THROW(config.validate(), std::invalid_argument);
 }
 
 TEST(Nested, UplinkRanksAreDense) {

@@ -1,5 +1,7 @@
 #include "topo/torus.hpp"
 
+#include <array>
+
 #include <gtest/gtest.h>
 
 #include "graph/bfs.hpp"
@@ -12,7 +14,8 @@ TEST(GridShape, IndexCoordRoundTrip) {
   const GridShape shape({4, 3, 2});
   EXPECT_EQ(shape.size(), 24u);
   for (std::uint32_t i = 0; i < shape.size(); ++i) {
-    const auto coords = shape.coords_of(i);
+    std::array<std::uint32_t, 3> coords{};
+    shape.coords_of(i, coords);
     EXPECT_EQ(shape.index_of(coords), i);
     for (std::uint32_t dim = 0; dim < 3; ++dim) {
       EXPECT_EQ(shape.coord(i, dim), coords[dim]);
