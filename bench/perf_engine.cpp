@@ -159,6 +159,8 @@ bool same_physical(const SimResult& a, const SimResult& b) {
 /// multi-threaded (solver_threads > 1) runs must clear against each other.
 bool same_full(const SimResult& a, const SimResult& b) {
   return same_physical(a, b) && a.solver_rounds == b.solver_rounds &&
+         a.whole_set_solves == b.whole_set_solves &&
+         a.component_walk_bails == b.component_walk_bails &&
          a.route_cache_hits == b.route_cache_hits &&
          a.route_cache_misses == b.route_cache_misses &&
          a.solve_cache_hits == b.solve_cache_hits &&

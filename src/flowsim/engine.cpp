@@ -1222,6 +1222,8 @@ SimResult FlowEngine::run_impl(const TrafficProgram& program,
   }
   solve_insert_armed_ = false;
   whole_probe_misses_ = 0;
+  walk_bail_streak_ = 0;
+  walk_skips_left_ = 0;
   // whole_set_hint_ deliberately persists across runs: a steady-state
   // replay's first giant event then probes (and hits) immediately.
   if (route_cache_active_) {
@@ -1436,18 +1438,41 @@ SimResult FlowEngine::run_impl(const TrafficProgram& program,
           cache_probed = false;
         }
       }
-      bool bailed = false;
+      if (!whole && !solve_cache_active_ && whole_set_hint_ &&
+          walk_skips_left_ > 0) {
+        // Walk skip: the last kWalkBailStreak or more walks all bailed, so
+        // this one is predicted to bail too — go straight to the whole-set
+        // solve it would have promoted to.
+        --walk_skips_left_;
+        whole = true;
+      }
       if (!whole) {
         // Re-solve only the connected components touched by an occupancy
         // change; untouched components keep their frozen rates (max-min
         // independence — see DESIGN.md "Performance model"). The walk
         // bails once it has pulled in over half the active flows; a
         // whole-set solve is then cheaper and just as exact.
-        bailed = parallel_active_ ? collect_dirty_components_partitioned()
-                                  : collect_dirty_components();
-        whole = bailed;
+        whole = parallel_active_ ? collect_dirty_components_partitioned()
+                                 : collect_dirty_components();
+        if (whole) {
+          ++result.component_walk_bails;
+          // A bail streak backs off exponentially: 1, 2, 4, ... skipped
+          // events between probe walks; a walk that completes resets it.
+          if (!solve_cache_active_ &&
+              ++walk_bail_streak_ >= kWalkBailStreak) {
+            whole_set_hint_ = true;
+            walk_skips_left_ = std::min<std::uint32_t>(
+                kWalkSkipCap,
+                1u << std::min<std::uint32_t>(
+                    walk_bail_streak_ - kWalkBailStreak, 31));
+          }
+        } else if (!solve_cache_active_) {
+          walk_bail_streak_ = 0;
+          whole_set_hint_ = false;
+        }
       }
       if (whole) {
+        ++result.whole_set_solves;
         for (const LinkId l : dirty_links_) link_dirty_[l] = 0;
         dirty_links_.clear();
         prune_used_links();
@@ -1493,6 +1518,7 @@ SimResult FlowEngine::run_impl(const TrafficProgram& program,
       result.solver_rounds += solver_.solve(ctx, used_links_,
                                             link_weight_sum_, active_flows_,
                                             rates_);
+      ++result.whole_set_solves;
     }
     if (options_.time_solver) {
       result.solve_seconds +=

@@ -147,11 +147,14 @@ struct EngineOptions {
   /// changed (flows activated/completed/stranded) are marked dirty; the
   /// active flow-link incidence is partitioned into connected components
   /// and FairShareSolver runs only on components touching a dirty link,
-  /// keeping frozen rates for untouched components. Bit-identical to the
-  /// full re-solve (a component's max-min allocation depends only on its
-  /// own flows, links and capacities — see DESIGN.md "Performance model"),
-  /// except SimResult::solver_rounds and the cache-counter fields, which
-  /// count the work actually done.
+  /// keeping frozen rates for untouched components. The component walk
+  /// bails to a whole-set solve past half the active flows, and is skipped
+  /// outright while recent walks keep bailing (the walk skip, DESIGN.md
+  /// §6). Bit-identical to the full re-solve (a component's max-min
+  /// allocation depends only on its own flows, links and capacities — see
+  /// DESIGN.md "Performance model"), except SimResult::solver_rounds,
+  /// whole_set_solves, component_walk_bails and the cache-counter fields,
+  /// which count the work actually done.
   /// Flip off to A/B-check or to reproduce historical solver_rounds counts.
   bool incremental_solver = true;
   /// Per-(src,dst) route memoization. Only consulted when adaptive_routing
@@ -191,8 +194,9 @@ struct EngineOptions {
   bool time_solver = false;
   /// Batch-identification kernel for the max-min solver (see
   /// SolverStrategy in flowsim/maxmin.hpp). Every strategy produces
-  /// bit-identical results; kAuto adapts per solve and is right for
-  /// everything but differential testing.
+  /// bit-identical rates and round counts; kAuto (the near-set scan) is
+  /// right for everything but differential testing, where kHeap and kScan
+  /// serve as references.
   SolverStrategy solver_strategy = SolverStrategy::kAuto;
   /// Event-dispatch kernel (see DispatchStrategy above). Every strategy
   /// produces bit-identical results at every thread count — they share one
@@ -246,6 +250,11 @@ struct SimResult {
   /// performed, and the whole point of the incremental mode is to perform
   /// less of it.
   std::uint64_t solver_rounds = 0;
+  /// Events whose rate solve covered the whole active set (every solve
+  /// with incremental_solver off), and incremental component walks that
+  /// bailed to one. Work counters, exempt like solver_rounds.
+  std::uint64_t whole_set_solves = 0;
+  std::uint64_t component_walk_bails = 0;
   /// Flow activations served from / missed by the route cache. Both zero
   /// whenever the cache is inactive (adaptive routing on, dynamic routes,
   /// or EngineOptions::route_cache off).
@@ -641,15 +650,30 @@ class FlowEngine {
   bool solve_cache_active_ = false;  // resolved per run()
   bool solve_insert_armed_ = false;  // miss was cacheable; insert after solve
   std::uint64_t solve_key_hash_ = 0;
-  /// Probe-first whole-set hint: set whenever an event's solve covered the
-  /// whole active set (threshold, BFS bail, or a previous probe), cleared
-  /// after two consecutive probe misses. While set, events skip the
-  /// component BFS and look the canonical whole-set key up directly —
-  /// phase-structured giant workloads (the mapreduce shuffle) then pay one
-  /// key build per event instead of an O(active) component walk. Purely a
+  /// Whole-set hint: this event's solve is predicted to cover the whole
+  /// active set, so the component walk (BFS) is skipped. Purely a
   /// work-routing decision: rates are bit-identical either way.
+  ///  - Solve cache on: set whenever an event's solve covered the whole
+  ///    active set (threshold, BFS bail, or a previous probe), cleared
+  ///    after two consecutive probe misses. While set, events look the
+  ///    canonical whole-set key up directly — phase-structured giant
+  ///    workloads (the mapreduce shuffle) then pay one key build per event
+  ///    instead of an O(active) component walk.
+  ///  - Solve cache off (every adaptive-routing run): set once
+  ///    kWalkBailStreak walks in a row bailed, cleared by a walk that
+  ///    completes. While set, the next walk_skips_left_ events go straight
+  ///    to the whole-set solve, then one probe walk runs; each further
+  ///    bail in the streak doubles the skip (1, 2, 4, ... kWalkSkipCap).
+  ///    An isolated bail skips nothing, which keeps workloads whose
+  ///    components are mostly small (nbodies, unstructured-mgnt) on
+  ///    component solves. A function of walk outcomes only, which do not
+  ///    depend on solver_threads.
   bool whole_set_hint_ = false;
   std::uint32_t whole_probe_misses_ = 0;
+  std::uint32_t walk_bail_streak_ = 0;  // consecutive bailed walks
+  std::uint32_t walk_skips_left_ = 0;   // events to skip before a probe
+  static constexpr std::uint32_t kWalkBailStreak = 2;
+  static constexpr std::uint32_t kWalkSkipCap = 64;
   /// Set by a whole-set cache hit whose rates will be consumed by this
   /// event's fused sweep (dispatch strategy is not kIndexed): points at the
   /// memo blob — slot order — inside solve_rates_arena_, which cannot

@@ -47,14 +47,25 @@
 //   exchanges at scale), far worse when an adversarial instance needs
 //   O(U) singleton rounds.
 //
-//   kAuto (default) — starts scanning, counts slots swept, and builds the
-//   heap mid-solve once the cumulative scan work exceeds a small multiple
-//   of the initial live-slot count. The switch is exact: current fresh
-//   shares are valid heap lower bounds by monotonicity.
+//   kAuto (default) — near-set scan. A refill is one scan round that also
+//   picks a threshold T near the K-th smallest fresh share (K = a fixed
+//   fraction of the live slots, with a floor; estimated from a strided
+//   sample) and lists every other slot with share <= T as "near". Later
+//   rounds sweep only the near list, dropping dead slots and slots whose
+//   share has passed T, and harvest ties exactly as the scan does. A far
+//   slot is re-tested with the same division whenever a round's deltas
+//   touch it, and rejoins the list if its share is now <= T — so every
+//   live slot off the list has a fresh share > T at all times, without
+//   relying on "shares only grow" (which FP rounding can break by an
+//   ulp, see heap_round). Every share kept on the list is <= T, so the
+//   list's minimum is the global minimum and every slot tied with it is
+//   on the list. The round refills once the list is empty. Every refill
+//   is a full scan round, so it returns a batch or finds no live slot:
+//   the loop ends. O(U) per refill plus O(near) per round.
 //
-// Both kernels produce the identical (share, id) minimum each round — the
+// All kernels produce the identical (share, id) minimum each round — the
 // heap's freeze certificate selects exactly the lexicographic minimum
-// fresh pair, the scan computes it directly, and the tie harvest in both
+// fresh pair, the scans compute it directly, and every tie harvest
 // collects exactly the set of live links whose fresh share equals it — so
 // rates, rounds, and every downstream bit are identical regardless of
 // strategy. tests/test_maxmin_properties.cpp pins this (including against
@@ -88,13 +99,14 @@
 // later round could observe, so both are bit-exact.
 //
 // Sharded whole-set solves: solve() optionally takes a ThreadPool. The
-// pool accelerates only order-independent phases — per-shard minimum
-// scans (combined by an exact serial min over shard results), per-shard
-// tie harvests (concatenated, then sorted as always), and disjoint
-// broadcast rate writes — while freezing and delta accumulation stay
-// serial in the identical order. Results are therefore bit-identical at
-// any shard/thread count, the same two-phase commit discipline as the
-// engine's parallel component path (DESIGN.md §7).
+// pool accelerates only order-independent phases — kScan's per-shard
+// minimum scans (combined by an exact serial min over shard results),
+// per-shard tie harvests (concatenated, then sorted as always), and
+// disjoint broadcast rate writes (every strategy) — while freezing and
+// delta accumulation stay serial in the identical order. Results are
+// therefore bit-identical at any shard/thread count, the same two-phase
+// commit discipline as the engine's parallel component path (DESIGN.md
+// §7).
 //
 // The solver is a template over a context type so the one algorithm serves
 // both the event engine (structure-of-arrays, incremental link occupancy)
@@ -149,7 +161,7 @@ namespace nestflow {
 /// produces bit-identical rates and round counts (see the header comment);
 /// the knob exists for differential testing and as an escape hatch.
 enum class SolverStrategy : std::uint8_t {
-  kAuto,  ///< scan first, fall back to the heap if rounds pile up (default)
+  kAuto,  ///< near-set scan: full sweeps only to refill (default)
   kHeap,  ///< lazy-revalidation heap: the PR-6 reference kernel
   kScan,  ///< SoA saturation scan every round, no fallback
 };
@@ -161,6 +173,10 @@ class FairShareSolver {
     strategy_ = strategy;
   }
   [[nodiscard]] SolverStrategy strategy() const noexcept { return strategy_; }
+  /// kAuto near-list refills performed by the last solve (0 otherwise).
+  [[nodiscard]] std::uint32_t near_refills() const noexcept {
+    return near_refills_;
+  }
 
   /// Scratch arrays are carved from one arena block on first use (or when
   /// the shape grows) and reused across solves — the steady path performs
@@ -175,6 +191,7 @@ class FairShareSolver {
     bytes += ScratchArena::bytes_for<std::uint32_t>(num_links);  // link_slot_
     bytes += ScratchArena::bytes_for<double>(2 * num_links);     // delta_
     bytes += ScratchArena::bytes_for<std::uint8_t>(num_links);   // in_batch_
+    bytes += ScratchArena::bytes_for<std::uint8_t>(num_links);   // slot_near_
     bytes += ScratchArena::bytes_for<std::uint8_t>(num_flows);   // frozen_
     arena_.reset(bytes);
     slot_link_ = arena_.carve<LinkId>(num_links);
@@ -183,6 +200,7 @@ class FairShareSolver {
     link_slot_ = arena_.carve<std::uint32_t>(num_links);
     delta_ = arena_.carve<double>(2 * num_links);
     in_batch_ = arena_.carve<std::uint8_t>(num_links);
+    slot_near_ = arena_.carve<std::uint8_t>(num_links);
     frozen_ = arena_.carve<std::uint8_t>(num_flows);
     // delta_ and in_batch_ are held at zero BETWEEN rounds by the round
     // epilogue; frozen_ is cleared per solve for the active flows only.
@@ -226,8 +244,11 @@ class FairShareSolver {
     nslots_ = nslots;
     live_slots_ = nslots;
 
-    bool use_heap = strategy_ == SolverStrategy::kHeap;
+    const bool use_heap = strategy_ == SolverStrategy::kHeap;
+    const bool use_near = strategy_ == SolverStrategy::kAuto;
     heap_.clear();
+    near_.clear();  // the first near-set round is a refill
+    near_refills_ = 0;
     if (use_heap) {
       // Initial keys are the unfloored capacity/weight quotients, exactly
       // as the PR-6 solver seeded its heap (valid lower bounds either way).
@@ -237,11 +258,6 @@ class FairShareSolver {
       }
       std::make_heap(heap_.begin(), heap_.end());
     }
-    // kAuto switches to the heap once cumulative sweep work exceeds this.
-    const std::uint64_t scan_budget =
-        std::uint64_t{kScanOpsFactor} * nslots + 4096;
-    std::uint64_t scan_ops = 0;
-
     std::uint64_t rounds = 0;
     bool first_round = true;
     while (live_flows > 0) {
@@ -249,12 +265,12 @@ class FairShareSolver {
       bool found;
       if (use_heap) {
         found = heap_round(share);
+      } else if (use_near) {
+        found = near_round(share);
       } else if (pool != nullptr && nslots >= 2 * kShardGrain) {
         found = scan_round_sharded(*pool, share);
-        scan_ops += nslots;
       } else {
         found = scan_round_serial(share);
-        scan_ops += live_slots_;
       }
       if (!found) break;  // every remaining link drained to dust
       rounds += batch_.size();
@@ -328,14 +344,21 @@ class FairShareSolver {
         // shares still only grow, so outstanding heap keys remain valid
         // lower bounds. Links whose slot was compacted away (drained to
         // dust in an earlier round) absorb nothing: their state is never
-        // read again.
+        // read again. Under kAuto a touched far slot is re-tested against
+        // the near threshold (the near-set invariant, see the header).
         for (const LinkId l2 : touched_) {
           double* const d = &delta_[2 * l2];
           const std::uint32_t s = link_slot_[l2];
           if (s != kNoSlot) {
             slot_residual_[s] = std::max(slot_residual_[s] - d[0],
                                          ctx.capacity(l2) * 1e-12);
-            slot_weight_[s] -= d[1];
+            const double w = slot_weight_[s] - d[1];
+            slot_weight_[s] = w;
+            if (use_near && !slot_near_[s] && w > kWeightEpsilon &&
+                slot_residual_[s] / w <= near_threshold_) {
+              slot_near_[s] = 1;
+              near_.push_back(s);
+            }
           }
           d[0] = 0.0;
           d[1] = 0.0;
@@ -345,16 +368,6 @@ class FairShareSolver {
       for (const LinkId bl : batch_) {
         slot_weight_[link_slot_[bl]] = 0.0;
         in_batch_[bl] = 0;
-      }
-
-      if (!use_heap && strategy_ == SolverStrategy::kAuto &&
-          scan_ops > scan_budget) {
-        // Too many sweep rounds for this instance: build the heap from the
-        // current fresh shares (valid lower bounds — shares only grow) and
-        // finish with lazy revalidation. Batch selection stays identical;
-        // only the search data structure changes.
-        build_heap_from_slots();
-        use_heap = true;
       }
     }
     return rounds;
@@ -381,9 +394,13 @@ class FairShareSolver {
   /// is skipped — per-solve resets make that unobservable).
   static constexpr std::uint8_t kFrozenOld = 1;
   static constexpr std::uint8_t kFrozenNew = 2;
-  /// kAuto switches scan -> heap after sweeping ~this many multiples of
-  /// the initial live-slot count.
-  static constexpr std::uint32_t kScanOpsFactor = 8;
+  /// kAuto's near list targets the K smallest shares at each refill,
+  /// K = max(kNearFloor, live slots / kNearDivisor); T is read off a
+  /// strided sample of about kNearSample shares. When K covers every live
+  /// slot, T is +inf and the solve never refills again.
+  static constexpr std::uint32_t kNearFloor = 128;
+  static constexpr std::uint32_t kNearDivisor = 32;
+  static constexpr std::uint32_t kNearSample = 64;
   /// Minimum slots (or flows) per shard before pool fan-out pays for its
   /// barrier; below 2x this, scans stay serial even with a pool.
   static constexpr std::size_t kShardGrain = 65536;
@@ -396,18 +413,17 @@ class FairShareSolver {
     return slot_residual_[s] / slot_weight_[s];
   }
 
-  /// One scan round: sweep live slots computing fresh shares (compacting
-  /// drained slots out in place), take the minimum, harvest bitwise ties
-  /// into batch_. Returns false when no live slot remains.
-  bool scan_round_serial(double& share_out) {
+  /// Sweeps the live slots, compacting drained ones out in place, and
+  /// calls visit(fresh share) for every survivor in slot order.
+  template <typename Visit>
+  void sweep_live_slots(Visit&& visit) {
     const std::uint32_t n = live_slots_;
     std::uint32_t out = 0;
-    double best = std::numeric_limits<double>::infinity();
     for (std::uint32_t s = 0; s < n; ++s) {
       const double w = slot_weight_[s];
       if (w <= kWeightEpsilon) {
         // Drained to dust: fully frozen via other bottlenecks. Compact the
-        // slot away; shares only grow, so it can never come back live.
+        // slot away; weights only shrink, so it can never come back live.
         link_slot_[slot_link_[s]] = kNoSlot;
         continue;
       }
@@ -417,11 +433,21 @@ class FairShareSolver {
         slot_weight_[out] = w;
         link_slot_[slot_link_[out]] = out;
       }
-      const double fresh = slot_residual_[out] / w;
-      if (fresh < best) best = fresh;
+      visit(slot_residual_[out] / w);
       ++out;
     }
     live_slots_ = out;
+  }
+
+  /// One scan round: sweep live slots computing fresh shares (compacting
+  /// drained slots out in place), take the minimum, harvest bitwise ties
+  /// into batch_. Returns false when no live slot remains.
+  bool scan_round_serial(double& share_out) {
+    double best = std::numeric_limits<double>::infinity();
+    sweep_live_slots([&best](double fresh) {
+      if (fresh < best) best = fresh;
+    });
+    const std::uint32_t out = live_slots_;
     if (out == 0) return false;
     batch_.clear();
     // Ties are harvested by recomputing each quotient — same operands,
@@ -559,17 +585,91 @@ class FairShareSolver {
     return false;
   }
 
-  /// Seeds the heap from the current live slots' fresh shares (the kAuto
-  /// mid-solve switch). Fresh shares are exact current values, trivially
-  /// valid lower bounds for all future rounds.
-  void build_heap_from_slots() {
-    heap_.clear();
-    const std::uint32_t n = live_slots_;
-    for (std::uint32_t s = 0; s < n; ++s) {
-      if (slot_weight_[s] <= kWeightEpsilon) continue;
-      heap_.push_back(Entry{slot_share(s), slot_link_[s]});
+  /// One kAuto round. Sweeps the near list, dropping dead slots and slots
+  /// whose share passed the threshold (the delta pass re-tests those from
+  /// then on). Every kept share is <= threshold < every far share, so the
+  /// list's minimum is the global one and its ties are all on the list.
+  /// Refills once the list is empty. Returns false when no live slot
+  /// remains.
+  bool near_round(double& share_out) {
+    const double threshold = near_threshold_;
+    std::size_t out = 0;
+    double best = std::numeric_limits<double>::infinity();
+    for (const std::uint32_t s : near_) {
+      const double w = slot_weight_[s];
+      if (w <= kWeightEpsilon) {
+        slot_near_[s] = 0;  // dead for good (weights only shrink)
+        continue;
+      }
+      const double fresh = slot_residual_[s] / w;
+      if (fresh > threshold) {
+        slot_near_[s] = 0;  // far again: the delta pass re-tests it
+        continue;
+      }
+      near_[out] = s;
+      near_share_[out] = fresh;
+      ++out;
+      if (fresh < best) best = fresh;
     }
-    std::make_heap(heap_.begin(), heap_.end());
+    near_.resize(out);
+    if (out == 0) return near_refill(share_out);
+    batch_.clear();
+    for (std::size_t i = 0; i < out; ++i) {
+      if (near_share_[i] == best) batch_.push_back(slot_link_[near_[i]]);
+    }
+    share_out = best;
+    return true;
+  }
+
+  /// A full scan round (compaction, minimum, bitwise tie harvest — the
+  /// same arithmetic as scan_round_serial) that also rebuilds the near
+  /// list around a fresh threshold. Always returns a batch unless no live
+  /// slot remains, which is what bounds the kAuto loop.
+  bool near_refill(double& share_out) {
+    ++near_refills_;
+    const std::uint32_t stride =
+        std::max<std::uint32_t>(1, live_slots_ / kNearSample);
+    std::uint32_t to_sample = 1;  // live slots until the next sample
+    sample_.clear();
+    double best = std::numeric_limits<double>::infinity();
+    sweep_live_slots([&](double fresh) {
+      if (fresh < best) best = fresh;
+      if (--to_sample == 0) {
+        sample_.push_back(fresh);
+        to_sample = stride;
+      }
+    });
+    const std::uint32_t out = live_slots_;
+    near_.clear();
+    if (out == 0) return false;
+
+    const std::uint32_t k = std::max(kNearFloor, out / kNearDivisor);
+    double threshold = std::numeric_limits<double>::infinity();
+    if (k < out) {
+      const std::size_t rank = std::min<std::size_t>(
+          sample_.size() - 1, std::size_t{k} * sample_.size() / out);
+      std::nth_element(sample_.begin(),
+                       sample_.begin() + static_cast<std::ptrdiff_t>(rank),
+                       sample_.end());
+      threshold = sample_[rank];
+    }
+    near_threshold_ = threshold;
+    near_share_.resize(out);
+
+    batch_.clear();
+    for (std::uint32_t s = 0; s < out; ++s) {
+      // Same operands as the minimum sweep, so the compares are bit-exact.
+      const double fresh = slot_residual_[s] / slot_weight_[s];
+      const bool near = fresh != best && fresh <= threshold;
+      slot_near_[s] = near ? 1 : 0;
+      if (fresh == best) {
+        batch_.push_back(slot_link_[s]);
+      } else if (near) {
+        near_.push_back(s);
+      }
+    }
+    share_out = best;
+    return true;
   }
 
   /// The broadcast shortcut only matches the freeze-walk when every active
@@ -623,10 +723,16 @@ class FairShareSolver {
   std::span<std::uint32_t> link_slot_;
   std::span<double> delta_;  // (cap, weight) pairs, held 0 between rounds
   std::span<std::uint8_t> in_batch_;  // held 0 between rounds
+  std::span<std::uint8_t> slot_near_;  // kAuto: slot is on near_
   std::span<std::uint8_t> frozen_;  // 0 / kFrozenOld / kFrozenNew
 
   std::uint32_t nslots_ = 0;      // slots carved by the current solve
   std::uint32_t live_slots_ = 0;  // shrinks under serial-scan compaction
+  double near_threshold_ = 0.0;   // kAuto: T of the last refill
+  std::uint32_t near_refills_ = 0;
+  std::vector<std::uint32_t> near_;  // kAuto: slots with share <= T
+  std::vector<double> near_share_;   // scratch: shares of near_, by position
+  std::vector<double> sample_;       // scratch: refill's strided shares
   std::vector<LinkId> batch_;
   std::vector<LinkId> touched_;
   std::vector<Entry> heap_;

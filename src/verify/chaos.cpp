@@ -294,8 +294,9 @@ void compare_f64(const char* what, const char* field, double a, double b,
 }
 
 /// Every SimResult field must agree except the effort counters
-/// (solver_rounds, cache hits/misses, solve_seconds), which measure work
-/// done rather than simulated physics. `exact` = bit-identity on doubles;
+/// (solver_rounds, whole_set_solves, component_walk_bails, cache
+/// hits/misses, solve_seconds), which measure work done rather than
+/// simulated physics. `exact` = bit-identity on doubles;
 /// off for the t0-timeline differential, where the documented
 /// strand-enumeration order difference perturbs FP sums in the last bits.
 void compare_results(const char* what, const SimResult& a, const SimResult& b,

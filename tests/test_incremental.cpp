@@ -230,5 +230,58 @@ TEST(Incremental, CapacityChangesInvalidateMemoizedRates) {
   expect_identical(nominal.run(program), restored, "restored torus");
 }
 
+/// The figure drivers' engine options (bench/figure_common.hpp): adaptive
+/// routing on, so neither cache engages and the incremental path is the
+/// component walk, its bail, and the walk skip that predicts the bail.
+SimResult run_figure_config(const Topology& topology,
+                            const TrafficProgram& program, bool incremental) {
+  EngineOptions options;
+  options.rate_quantum_rel = 0.01;
+  options.completion_batch_rel = 1e-3;
+  options.hop_latency_seconds = 1e-6;
+  options.record_flow_times = true;
+  options.incremental_solver = incremental;
+  FlowEngine engine(topology, options);
+  return engine.run(program);
+}
+
+/// Workloads whose active flows form one giant component (flood,
+/// unstructured-app) bail nearly every walk; after a short streak the
+/// engine skips the walk and solves the whole set directly, so most
+/// whole-set solves are not preceded by a bailed walk. Rates stay exact.
+TEST(Incremental, WalkSkipFiresOnGiantComponentsAndStaysExact) {
+  for (const std::string family : {"nestghc:256,4,4", "torus:8x8x4"}) {
+    const auto topo = make_topology(family);
+    for (const std::string spec : {"flood", "unstructured-app"}) {
+      const TrafficProgram program = generate(*topo, spec);
+      const std::string context = family + " x " + spec;
+      const SimResult off = run_figure_config(*topo, program, false);
+      const SimResult on = run_figure_config(*topo, program, true);
+      expect_identical(off, on, context);
+      EXPECT_EQ(off.component_walk_bails, 0u) << context;
+      EXPECT_GT(on.component_walk_bails, 0u) << context;
+      // Flood's phases restart the bail streak more often than
+      // unstructured-app's steady random traffic does (N=256: ~70 whole-set
+      // solves against ~20 bails, and ~160 against ~10).
+      EXPECT_GT(on.whole_set_solves, 2 * on.component_walk_bails)
+          << context << ": the walk skip must spare most bailed walks";
+    }
+  }
+}
+
+/// nbodies' events dirty small components; isolated bails must not push
+/// it off component solves (its incremental win over the full re-solve).
+TEST(Incremental, WalkSkipKeepsNbodiesOnComponentSolves) {
+  const auto topo = make_topology("nestghc:256,4,4");
+  const TrafficProgram program = generate(*topo, "nbodies");
+  const SimResult off = run_figure_config(*topo, program, false);
+  const SimResult on = run_figure_config(*topo, program, true);
+  expect_identical(off, on, "nbodies");
+  EXPECT_EQ(off.whole_set_solves, off.events) << "nbodies";
+  EXPECT_LT(4 * on.whole_set_solves, on.events)
+      << "nbodies must stay on component solves";
+  EXPECT_LT(4 * on.solver_rounds, off.solver_rounds) << "nbodies";
+}
+
 }  // namespace
 }  // namespace nestflow

@@ -386,6 +386,7 @@ SolveInputs build_inputs(const Instance& inst) {
 struct SolveResult {
   std::vector<double> rates;
   std::uint64_t rounds = 0;
+  std::uint32_t near_refills = 0;  // kAuto only
 };
 
 SolveResult solve_kernel(const Instance& inst, SolverStrategy strategy,
@@ -398,6 +399,7 @@ SolveResult solve_kernel(const Instance& inst, SolverStrategy strategy,
   r.rates.assign(inst.paths.size(), 0.0);
   r.rounds =
       solver.solve(in.ctx, in.used, in.weight_sums, in.active, r.rates, pool);
+  r.near_refills = solver.near_refills();
   return r;
 }
 
@@ -462,8 +464,7 @@ Instance tie_heavy_instance(std::uint64_t seed) {
 
 /// Power-law adversary: capacities spread over ~30 binades, so shares
 /// almost never tie and the solver grinds through many singleton rounds —
-/// the scan kernel's worst case and the kAuto heap fallback's reason to
-/// exist.
+/// the scan kernel's worst case and the reason kAuto scans a near list.
 Instance power_law_instance(std::uint64_t seed) {
   Prng prng(seed, 0xB10Cu);
   Instance inst;
@@ -489,9 +490,8 @@ Instance power_law_instance(std::uint64_t seed) {
 
 /// Staircase adversary: n links with strictly increasing capacities and
 /// one two-hop flow per link — every round freezes a single link, so an
-/// n-link instance runs n-ish singleton rounds. Large n drives kAuto's
-/// cumulative scan work over its budget and forces the mid-solve
-/// scan->heap switch.
+/// n-link instance runs n-ish singleton rounds. With n well above kAuto's
+/// near-list floor (64 slots), the list drains many times per solve.
 Instance staircase_instance(std::size_t n) {
   Instance inst;
   inst.capacities.resize(n);
@@ -535,15 +535,96 @@ TEST(MaxminKernel, PowerLawInstancesMatchAndSatisfyAxioms) {
   }
 }
 
-TEST(MaxminKernel, AutoSwitchesMidSolveAndStaysBitIdentical) {
-  // 600 links x ~600 singleton rounds sweeps ~180k slots, far past the
-  // kAuto budget of 8*600 + 4096 — the scan->heap switch fires mid-solve
-  // (around round ~16) and the remaining rounds run on the rebuilt heap.
+TEST(MaxminKernel, AutoRefillsNearSetAndStaysBitIdentical) {
+  // 600 links x ~600 singleton rounds against a near list of ~64 slots:
+  // the list drains and refills many times within one solve.
   const Instance inst = staircase_instance(600);
   expect_all_strategies_identical(inst, 600);
   const SolveResult r = solve_kernel(inst, SolverStrategy::kAuto);
+  EXPECT_GE(r.near_refills, 5u);
   expect_feasible(inst, r.rates);
   expect_bottlenecked(inst, r.rates);
+}
+
+TEST(MaxminKernel, AutoTiesOnTheRefillThresholdMatch) {
+  // 40 capacity classes of 50 consecutive links each, so every strided
+  // sample the refill takes lands inside a tie group: the threshold T
+  // equals the share of a whole class, and that class must freeze as one
+  // batch from the near list. Sparse two-hop flows move shares between
+  // classes, so slots also leave the list past T between refills.
+  for (std::uint64_t seed = 0; seed < 8; ++seed) {
+    constexpr std::size_t kLinks = 2000;
+    Instance inst;
+    inst.capacities.resize(kLinks);
+    for (std::size_t l = 0; l < kLinks; ++l) {
+      inst.capacities[l] = 4.0 * static_cast<double>(1 + l / 50);
+      inst.paths.push_back({static_cast<LinkId>(l)});
+    }
+    for (std::size_t l = seed; l < kLinks; l += 7 + seed) {
+      inst.paths.push_back({static_cast<LinkId>(l),
+                            static_cast<LinkId>((l * 13 + 5) % kLinks)});
+    }
+    inst.weights.assign(inst.paths.size(), 1.0);
+    expect_all_strategies_identical(inst, seed);
+    const SolveResult r = solve_kernel(inst, SolverStrategy::kAuto);
+    EXPECT_GE(r.near_refills, 2u) << "seed " << seed;
+    expect_feasible(inst, r.rates);
+    expect_bottlenecked(inst, r.rates);
+  }
+}
+
+TEST(MaxminKernel, AutoAllTiedFirstRoundBroadcasts) {
+  // Every link carries two flows of a ring and the same capacity, so the
+  // first refill's batch is every live slot: the broadcast shortcut
+  // assigns every rate and the solve ends after that one refill.
+  constexpr std::size_t kLinks = 5000;
+  Instance inst;
+  inst.capacities.assign(kLinks, 8.0);
+  for (std::size_t l = 0; l < kLinks; ++l) {
+    inst.paths.push_back({static_cast<LinkId>(l),
+                          static_cast<LinkId>((l + 1) % kLinks)});
+  }
+  inst.weights.assign(kLinks, 1.0);
+  expect_all_strategies_identical(inst, kLinks);
+  const SolveResult r = solve_kernel(inst, SolverStrategy::kAuto);
+  EXPECT_EQ(r.near_refills, 1u);
+  EXPECT_EQ(r.rounds, kLinks);
+  for (const double rate : r.rates) EXPECT_EQ(rate, 4.0);
+}
+
+TEST(MaxminKernel, AutoLargeInstancesMatchWithFractionalNearList) {
+  // 8192-16384 live links: the near list's size K comes from the
+  // live-slot fraction, far above its 64-slot floor, and multi-hop flows
+  // over capacities spread across 12 binades keep the rounds mostly small.
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {
+    Prng prng(seed, 0x9EA7u);
+    const std::size_t num_links = 8192u << (seed % 2);
+    const std::size_t num_flows = num_links / 2 + seed * 1000;
+    Instance inst;
+    inst.capacities.resize(num_links);
+    for (auto& c : inst.capacities) {
+      c = std::ldexp(1.0 + prng.next_double(),
+                     static_cast<int>(prng.next_in(0, 12)));
+    }
+    inst.paths.resize(num_flows);
+    for (auto& path : inst.paths) {
+      const auto hops = static_cast<std::size_t>(prng.next_in(1, 6));
+      while (path.size() < hops) {
+        const auto l = static_cast<LinkId>(
+            prng.next_below(static_cast<std::uint64_t>(num_links)));
+        if (std::find(path.begin(), path.end(), l) == path.end()) {
+          path.push_back(l);
+        }
+      }
+    }
+    inst.weights.resize(num_flows);
+    for (auto& w : inst.weights) w = static_cast<double>(prng.next_in(1, 3));
+    expect_all_strategies_identical(inst, seed);
+    const SolveResult r = solve_kernel(inst, SolverStrategy::kAuto);
+    EXPECT_GE(r.near_refills, 2u) << "seed " << seed;
+    expect_feasible(inst, r.rates);
+    expect_bottlenecked(inst, r.rates);
+  }
 }
 
 TEST(MaxminKernel, ShardedSolveIsBitIdenticalToSerial) {
